@@ -108,12 +108,20 @@ func (e *Extractor) ExtractAll(tables []*table.Table) ([]*table.BinaryTable, Sta
 // assigned densely from 0 in the table's own extraction order; callers
 // fanning out over many tables renumber afterwards (see ExtractAllParallel).
 func (e *Extractor) ExtractTable(t *table.Table) ([]*table.BinaryTable, Stats) {
-	var st Stats
-	nextID := 0
-	cands := e.extractTable(t, &st, &nextID)
+	keep := make([]bool, len(t.Columns))
+	for ci := range t.Columns {
+		keep[ci] = e.Coherent(e.idx.ColumnCoherence(t.Columns[ci].Values))
+	}
+	var out []*table.BinaryTable
+	st := ScanTable(t, keep,
+		func(i, j int) (PairVerdict, *table.BinaryTable) { return e.CheckPair(t, i, j) },
+		func(_, _ int, b *table.BinaryTable) {
+			b.ID = len(out)
+			out = append(out, b)
+		})
 	st.Tables = 1
-	st.Candidates = len(cands)
-	return cands, st
+	st.Candidates = len(out)
+	return out, st
 }
 
 // ExtractAllParallel is ExtractAll with the per-table work fanned out over
@@ -145,53 +153,91 @@ func (e *Extractor) ExtractAllParallel(ctx context.Context, tables []*table.Tabl
 	return out, st, nil
 }
 
-// extractTable applies the column coherence filter and then the FD pair
-// filter to one table.
-func (e *Extractor) extractTable(t *table.Table, st *Stats, nextID *int) []*table.BinaryTable {
-	st.ColumnsTotal += len(t.Columns)
-	st.PairsRaw += len(t.Columns) * (len(t.Columns) - 1)
-	var kept []int
-	for ci := range t.Columns {
-		c := &t.Columns[ci]
-		if e.idx.ColumnCoherence(c.Values) < e.opt.CoherenceThreshold {
+// Coherent reports whether a column with coherence score s survives the
+// coherence filter (Section 3.1).
+func (e *Extractor) Coherent(s float64) bool {
+	return !(s < e.opt.CoherenceThreshold)
+}
+
+// PairVerdict is the outcome of the pair filters (Section 3.2) for one
+// ordered pair of coherent columns.
+type PairVerdict uint8
+
+const (
+	// PairUnchecked is the zero value: no verdict yet.
+	PairUnchecked PairVerdict = iota
+	// PairCandidate: the pair passed every filter.
+	PairCandidate
+	// PairNotFunctional: the approximate FD fails, or the right column is
+	// constant.
+	PairNotFunctional
+	// PairTooSmall: fewer than MinPairs distinct value pairs.
+	PairTooSmall
+	// PairNumeric: rejected by the numeric filter.
+	PairNumeric
+)
+
+// CheckPair applies the FD, size and numeric filters to the ordered column
+// pair (i, j) of t and returns the verdict, with the candidate (ID 0) when
+// it passes. The verdict depends on the two columns alone, never on the
+// co-occurrence index, so it can be cached per table.
+func (e *Extractor) CheckPair(t *table.Table, i, j int) (PairVerdict, *table.BinaryTable) {
+	ci, cj := &t.Columns[i], &t.Columns[j]
+	res := fd.Check(ci.Values, cj.Values)
+	if !res.Holds(e.opt.ThetaFD) {
+		return PairNotFunctional, nil
+	}
+	// A functional pair with a single distinct right value for many lefts
+	// is usually a constant column, not a mapping.
+	if res.DistinctLeft >= 3 && res.DistinctRight == 1 {
+		return PairNotFunctional, nil
+	}
+	b := table.NewBinaryTable(0, t.ID, t.Domain, ci.Name, cj.Name, ci.Values, cj.Values)
+	if b.Size() < e.opt.MinPairs {
+		return PairTooSmall, nil
+	}
+	if e.opt.SkipNumericColumns && (mostlyNumericPairs(b) || rowNumberColumn(b)) {
+		return PairNumeric, nil
+	}
+	return PairCandidate, b
+}
+
+// ScanTable runs Algorithm 1's pair loop over t given which columns passed
+// the coherence filter (keep[ci]): every ordered pair of kept columns is
+// judged by check, and the candidates are passed to emit in extraction
+// order. It returns the table's filtering counts; Tables and Candidates
+// are left for the caller, as in Stats.Add.
+func ScanTable(t *table.Table, keep []bool, check func(i, j int) (PairVerdict, *table.BinaryTable), emit func(i, j int, b *table.BinaryTable)) Stats {
+	var st Stats
+	st.ColumnsTotal = len(t.Columns)
+	st.PairsRaw = len(t.Columns) * (len(t.Columns) - 1)
+	for _, k := range keep {
+		if !k {
 			st.ColumnsDropped++
+		}
+	}
+	for i := range t.Columns {
+		if !keep[i] {
 			continue
 		}
-		kept = append(kept, ci)
-	}
-	var out []*table.BinaryTable
-	for _, i := range kept {
-		for _, j := range kept {
-			if i == j {
+		for j := range t.Columns {
+			if i == j || !keep[j] {
 				continue
 			}
 			st.PairsTotal++
-			ci, cj := &t.Columns[i], &t.Columns[j]
-			res := fd.Check(ci.Values, cj.Values)
-			if !res.Holds(e.opt.ThetaFD) {
+			switch v, b := check(i, j); v {
+			case PairCandidate:
+				emit(i, j, b)
+			case PairNotFunctional:
 				st.PairsFDRejected++
-				continue
-			}
-			// A functional pair with a single distinct right value for
-			// many lefts is usually a constant column, not a mapping.
-			if res.DistinctLeft >= 3 && res.DistinctRight == 1 {
-				st.PairsFDRejected++
-				continue
-			}
-			b := table.NewBinaryTable(*nextID, t.ID, t.Domain, ci.Name, cj.Name, ci.Values, cj.Values)
-			if b.Size() < e.opt.MinPairs {
+			case PairTooSmall:
 				st.PairsTooSmall++
-				continue
-			}
-			if e.opt.SkipNumericColumns && (mostlyNumericPairs(b) || rowNumberColumn(b)) {
+			case PairNumeric:
 				st.PairsNumeric++
-				continue
 			}
-			*nextID++
-			out = append(out, b)
 		}
 	}
-	return out
+	return st
 }
 
 // mostlyNumericPairs reports whether both sides of the candidate are

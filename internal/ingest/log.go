@@ -1,7 +1,7 @@
 // Package ingest makes a served corpus mutable: a durable append log of
 // ingested tables, and an ingestor that folds logged tables into the
-// synthesis pipeline incrementally (dirty compatibility components only)
-// and republishes the corpus through the registry's versioned activate
+// synthesis pipeline incrementally (pipeline.RunIncremental) and
+// republishes the corpus through the registry's versioned activate
 // path. Queries keep serving the previous version while a run is in
 // flight; staleness (log head vs applied LSN) is always observable.
 package ingest
@@ -111,11 +111,21 @@ func (l *Log) replay() error {
 	if err != nil {
 		return err
 	}
-	if len(data) == 0 {
-		if _, err := l.f.Write(logMagic[:]); err != nil {
+	if len(data) < len(logMagic) && bytes.Equal(data, logMagic[:len(data)]) {
+		// Empty, or a magic torn by a crash while the log was created:
+		// start the log afresh.
+		l.truncated = int64(len(data))
+		if err := l.f.Truncate(0); err != nil {
 			return err
 		}
-		return l.f.Sync()
+		if _, err := l.f.WriteAt(logMagic[:], 0); err != nil {
+			return err
+		}
+		if err := l.f.Sync(); err != nil {
+			return err
+		}
+		_, err = l.f.Seek(0, io.SeekEnd)
+		return err
 	}
 	if len(data) < len(logMagic) || [4]byte(data[:4]) != logMagic {
 		return fmt.Errorf("ingest: %s is not an append log (bad magic)", l.path)

@@ -18,6 +18,9 @@ import (
 type extractOut struct {
 	bins  []*table.BinaryTable
 	stats extract.Stats
+	// slots names each candidate's slot in an IncrementalState; set by
+	// the incremental path only.
+	slots []int32
 }
 
 // graphOut is the graph stage's typed output.

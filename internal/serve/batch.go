@@ -191,8 +191,8 @@ func streamBatch[Req any](s *Server, c *corpus, w http.ResponseWriter, r *http.R
 			}
 			// The row bound is enforced here, before the next line is even
 			// read: saturation stalls the decoder, not the answer stream.
-			if s.acquireRow(ctx, tn) != nil {
-				decodeFail <- errorLine(i, "", &computeError{CodeInternal, "request cancelled"})
+			if err := s.acquireRow(ctx, tn); err != nil {
+				decodeFail <- errorLine(i, "", cancelledError(err))
 				return
 			}
 			wg.Add(1)
@@ -314,7 +314,7 @@ func autoFillCompute(ctx context.Context, st *State, sess *apps.Session, req aut
 		TopK:        req.TopK,
 	}})
 	if err != nil {
-		return autoFillResponse{}, &computeError{CodeInternal, "request cancelled: " + err.Error()}
+		return autoFillResponse{}, cancelledError(err)
 	}
 	res := results[0]
 	resp := autoFillResponse{
@@ -357,7 +357,7 @@ func autoCorrectCompute(ctx context.Context, st *State, sess *apps.Session, req 
 		TopK:        req.TopK,
 	}})
 	if err != nil {
-		return autoCorrectResponse{}, &computeError{CodeInternal, "request cancelled: " + err.Error()}
+		return autoCorrectResponse{}, cancelledError(err)
 	}
 	res := results[0]
 	resp := autoCorrectResponse{
@@ -392,7 +392,7 @@ func autoJoinCompute(ctx context.Context, st *State, sess *apps.Session, req aut
 		TopK:        req.TopK,
 	}})
 	if err != nil {
-		return autoJoinResponse{}, &computeError{CodeInternal, "request cancelled: " + err.Error()}
+		return autoJoinResponse{}, cancelledError(err)
 	}
 	res := results[0]
 	resp := autoJoinResponse{

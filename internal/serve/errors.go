@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -52,12 +53,20 @@ const (
 	// bound (snapshot uploads: -max-upload-bytes). Not retryable without a
 	// smaller payload, so no Retry-After.
 	CodePayloadTooLarge ErrorCode = "payload_too_large"
-	// CodeInternal: the server failed mid-request (panic in a batch row,
-	// cancelled work).
+	// CodeInternal: the server failed mid-request (panic in a batch row).
 	CodeInternal ErrorCode = "internal"
+	// CodeClientClosed: the client went away — closed its connection or
+	// stopped reading a stream — before the server answered. Not a server
+	// fault: logged at Warn and counted apart from "internal". The status
+	// is nginx's 499, which the departed client never sees.
+	CodeClientClosed ErrorCode = "client_closed"
 	// CodeNotReady: the server has no loaded snapshot state to answer from.
 	CodeNotReady ErrorCode = "not_ready"
 )
+
+// statusClientClosed is the status recorded for client_closed: nginx's
+// "client closed request", outside the IANA registry.
+const statusClientClosed = 499
 
 // statusForCode maps an error class to its HTTP status.
 func statusForCode(code ErrorCode) int {
@@ -76,6 +85,8 @@ func statusForCode(code ErrorCode) int {
 		return http.StatusRequestEntityTooLarge
 	case CodeNotReady:
 		return http.StatusServiceUnavailable
+	case CodeClientClosed:
+		return statusClientClosed
 	default:
 		return http.StatusInternalServerError
 	}
@@ -109,6 +120,19 @@ type computeError struct {
 
 func badRequestf(format string, args ...any) *computeError {
 	return &computeError{code: CodeBadRequest, msg: fmt.Sprintf(format, args...)}
+}
+
+// cancelledError classifies work that stopped on its context. Every
+// context a request runs under ends only when the client leaves (the
+// connection's context, or a batch stream cancelled after its client
+// stopped reading), so cancellation is client_closed; any other error
+// stays internal.
+func cancelledError(err error) *computeError {
+	code := CodeInternal
+	if errors.Is(err, context.Canceled) {
+		code = CodeClientClosed
+	}
+	return &computeError{code: code, msg: "request cancelled: " + err.Error()}
 }
 
 // writeError answers one request with the structured envelope. It is the

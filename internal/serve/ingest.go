@@ -193,8 +193,8 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 					out := make([]*mapping.Mapping, 0, len(frozen)+len(maps))
 					out = append(out, frozen...)
 					for i, m := range maps {
-						// Shallow-copy before renumbering: the engine's
-						// output is shared with its component cache.
+						// Shallow-copy before renumbering, leaving the
+						// engine's result untouched.
 						nm := *m
 						nm.ID = maxID + 1 + i
 						out = append(out, &nm)

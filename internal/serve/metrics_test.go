@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mapsynth/internal/metrics"
+	"mapsynth/internal/qos"
 )
 
 // scrape fetches /v1/metrics from a handler and lints the exposition.
@@ -234,5 +235,61 @@ func TestStatusWriterPreservesStreaming(t *testing.T) {
 	}
 	if !rec.Flushed {
 		t.Error("flush did not reach the inner writer")
+	}
+}
+
+// TestClientClosedWhileQueued is the regression test for client
+// disconnects: a lookup whose client gives up while it waits for a
+// fair-queue slot answers the client_closed envelope (status 499), is
+// counted under mapsynth_errors_total{code="client_closed"} rather than
+// "internal", and is logged below ERROR.
+func TestClientClosedWhileQueued(t *testing.T) {
+	var buf bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&buf, nil))
+	s := NewFromMappings(testMappings(), Options{MaxBatchRows: 1, Logger: logger})
+	h := s.Handler()
+	if !s.fair.TryAcquire(qos.Batch) {
+		t.Fatal("could not take the only slot")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest("GET", "/v1/lookup?key=tcp", nil).WithContext(ctx)
+	req.Header.Set("X-Request-ID", "gone-id")
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, req)
+	}()
+	for s.fair.Waiting(qos.Interactive) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	s.fair.Release(qos.Batch)
+
+	if rec.Code != statusClientClosed {
+		t.Fatalf("status = %d, want %d", rec.Code, statusClientClosed)
+	}
+	const want = `{"error":{"code":"client_closed","message":"request cancelled while queued","request_id":"gone-id"}}`
+	if got := strings.TrimSpace(rec.Body.String()); got != want {
+		t.Errorf("envelope = %s\nwant       %s", got, want)
+	}
+	body := scrape(t, h)
+	if !strings.Contains(body, `mapsynth_errors_total{code="client_closed"} 1`) {
+		t.Error(`mapsynth_errors_total{code="client_closed"} not counted`)
+	}
+	if strings.Contains(body, `mapsynth_errors_total{code="internal"}`) {
+		t.Error("a client disconnect was counted as an internal error")
+	}
+	var line struct {
+		Level string `json:"level"`
+		Code  string `json:"code"`
+	}
+	if err := json.Unmarshal(bytes.SplitN(buf.Bytes(), []byte("\n"), 2)[0], &line); err != nil {
+		t.Fatalf("access log: %v: %s", err, buf.String())
+	}
+	if line.Code != "client_closed" || line.Level != "WARN" {
+		t.Errorf("logged code=%q at %s, want client_closed at WARN", line.Code, line.Level)
 	}
 }

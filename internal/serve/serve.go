@@ -591,7 +591,8 @@ func (s *Server) runApp(tn *tenant, class qos.Class, c *corpus, w http.ResponseW
 		err := s.fair.Acquire(r.Context(), tn.name, tn.fairWeight(), qos.Interactive)
 		tn.queued.Add(-1)
 		if err != nil {
-			return writeError(w, r, CodeInternal, "request cancelled while queued")
+			ce := cancelledError(err)
+			return writeError(w, r, ce.code, "request cancelled while queued")
 		}
 		defer s.fair.Release(qos.Interactive)
 	}

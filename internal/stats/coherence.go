@@ -24,7 +24,25 @@ const MaxCoherenceSample = 30
 // co-occur anywhere *else* in the corpus. Without the discount, a column of
 // unique garbage would score NPMI ≈ 1 from its own self-co-occurrence.
 func (x *CooccurrenceIndex) ColumnCoherence(values []string) float64 {
-	distinct := make([]string, 0, MaxCoherenceSample)
+	var sampleBuf [MaxCoherenceSample]string
+	sample := appendSample(sampleBuf[:0], values)
+	if len(sample) < 2 {
+		return 1
+	}
+	var dfBuf [MaxCoherenceSample]int32
+	df := dfBuf[:len(sample)]
+	for i, v := range sample {
+		df[i] = int32(x.DocFreq(v))
+	}
+	return scoreSample(x.n, df, func(i, j int) int32 {
+		return int32(x.CoFreq(sample[i], sample[j]))
+	})
+}
+
+// appendSample appends the values ColumnCoherence scores to distinct,
+// which must be empty: the column's distinct non-empty normalized values,
+// the first MaxCoherenceSample of them in order of appearance.
+func appendSample(distinct, values []string) []string {
 	seen := make(map[string]struct{}, MaxCoherenceSample)
 	for _, v := range values {
 		nv := textnorm.Normalize(v)
@@ -40,18 +58,32 @@ func (x *CooccurrenceIndex) ColumnCoherence(values []string) float64 {
 			break
 		}
 	}
-	if len(distinct) < 2 {
-		return 1
-	}
+	return distinct
+}
+
+// scoreSample averages the discounted NPMI over every pair (i < j) of a
+// column's sampled values, given N, each value's document frequency df[i]
+// and a co-occurrence lookup co(i, j), all counting the scored column
+// itself. co is consulted only for pairs whose values both occur outside
+// the column. ColumnCoherence and CoherenceCounts both score through here,
+// so the two agree bit for bit.
+//
+// Because the scored column is itself part of the index, each count is
+// discounted by one: the question the filter asks is whether the values
+// co-occur anywhere *else* in the corpus. Pairs with a value that never
+// appears outside the column carry no evidence about coherence and are
+// skipped (at web scale every real value occurs elsewhere; at laptop scale
+// long-tail synonyms may not).
+func scoreSample(n int, df []int32, co func(i, j int) int32) float64 {
 	var sum float64
 	var pairs int
-	for i := 0; i < len(distinct); i++ {
-		for j := i + 1; j < len(distinct); j++ {
-			s, ok := x.npmiDiscounted(distinct[i], distinct[j])
-			if !ok {
+	for i := 0; i < len(df); i++ {
+		for j := i + 1; j < len(df); j++ {
+			du, dv := df[i]-1, df[j]-1
+			if du <= 0 || dv <= 0 {
 				continue // no evidence either way; neutral
 			}
-			sum += s
+			sum += npmiDiscounted(n, du, dv, co(i, j)-1)
 			pairs++
 		}
 	}
@@ -63,30 +95,22 @@ func (x *CooccurrenceIndex) ColumnCoherence(values []string) float64 {
 	return sum / float64(pairs)
 }
 
-// npmiDiscounted is NPMI with one column of co-occurrence (the column under
-// evaluation) removed from all counts. The boolean is false when either
-// value never appears outside this column — such pairs carry no evidence
-// about coherence and are skipped (at web scale every real value occurs
-// elsewhere; at laptop scale long-tail synonyms may not).
-func (x *CooccurrenceIndex) npmiDiscounted(u, v string) (float64, bool) {
-	du := x.DocFreq(u) - 1
-	dv := x.DocFreq(v) - 1
-	if du <= 0 || dv <= 0 {
-		return 0, false
-	}
-	co := x.CoFreq(u, v) - 1
-	if co <= 0 || x.n <= 1 {
+// npmiDiscounted is NPMI over discounted counts: du and dv are the values'
+// document frequencies outside the scored column (both positive), c their
+// co-occurrence frequency outside it.
+func npmiDiscounted(n int, du, dv, c int32) float64 {
+	if c <= 0 || n <= 1 {
 		// Both values are known elsewhere but never together: strong
 		// evidence of incoherence.
-		return -1, true
+		return -1
 	}
-	n := float64(x.n)
-	puv := float64(co) / n
+	nf := float64(n)
+	puv := float64(c) / nf
 	if puv >= 1 {
-		return 1, true
+		return 1
 	}
-	pu := float64(du) / n
-	pv := float64(dv) / n
+	pu := float64(du) / nf
+	pv := float64(dv) / nf
 	pmi := math.Log(puv / (pu * pv))
-	return pmi / (-math.Log(puv)), true
+	return pmi / (-math.Log(puv))
 }

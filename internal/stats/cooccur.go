@@ -67,8 +67,9 @@ func BuildIndex(tables []*table.Table) *CooccurrenceIndex {
 // in table order and posting lists are appended in increasing ID, the result
 // is exactly the index BuildIndex would produce over the concatenated corpus
 // — the identity the incremental pipeline relies on. Appending re-weights
-// every NPMI (N grows), which is why the incremental path re-runs extraction
-// globally while reusing this index.
+// every NPMI (N grows); CoherenceCounts keeps the per-column counts that
+// let the incremental path re-score every column without re-reading the
+// posting lists, and reads this index only for newly appended columns.
 func (x *CooccurrenceIndex) Append(tables []*table.Table) {
 	colID := int32(x.n)
 	for _, t := range tables {

@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"mapsynth/internal/table"
@@ -179,6 +182,68 @@ func TestAppendEquivalence(t *testing.T) {
 					t.Fatalf("split %d: NPMI(%s,%s) %v vs %v", split, u, v, in, fn)
 				}
 			}
+		}
+	}
+}
+
+// TestCoherenceCountsMatchesIndex appends random tables in chunks and
+// requires, after every chunk, that every column's coherence from the
+// maintained counts equals ColumnCoherence over a freshly built index, bit
+// for bit.
+func TestCoherenceCountsMatchesIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vocab := make([]string, 60)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("Value %d", i)
+	}
+	var tables []*table.Table
+	for i := 0; i < 120; i++ {
+		tb := &table.Table{ID: i}
+		for c := 0; c < 1+rng.Intn(3); c++ {
+			// Mostly short columns over a small vocabulary, so values
+			// co-occur; some longer than the coherence sample, with
+			// repeats, case variants and empty cells.
+			n := 1 + rng.Intn(8)
+			if rng.Intn(5) == 0 {
+				n = MaxCoherenceSample + 15
+			}
+			vals := make([]string, n)
+			for k := range vals {
+				switch v := vocab[rng.Intn(len(vocab))]; rng.Intn(10) {
+				case 0:
+					vals[k] = ""
+				case 1:
+					vals[k] = strings.ToUpper(v)
+				default:
+					vals[k] = v
+				}
+			}
+			tb.Columns = append(tb.Columns, table.Column{Name: "c", Values: vals})
+		}
+		tables = append(tables, tb)
+	}
+
+	x := BuildIndex(nil)
+	cc := NewCoherenceCounts()
+	for done := 0; done < len(tables); {
+		next := min(len(tables), done+1+rng.Intn(20))
+		x.Append(tables[done:next])
+		cc.Append(x, tables[done:next])
+		done = next
+
+		fresh := BuildIndex(tables[:done])
+		col := 0
+		for _, tb := range tables[:done] {
+			for _, c := range tb.Columns {
+				got, want := cc.Coherence(col), fresh.ColumnCoherence(c.Values)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("after %d tables: column %d coherence %v from counts, %v from a fresh index", done, col, got, want)
+				}
+				col++
+			}
+		}
+		if cc.NumColumns() != col {
+			t.Fatalf("after %d tables: %d columns counted, want %d", done, cc.NumColumns(), col)
 		}
 	}
 }
