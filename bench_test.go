@@ -347,13 +347,13 @@ func serveBenchMappings() []*mapping.Mapping {
 }
 
 // BenchmarkServeLookup measures the serving hot path end to end — HTTP
-// routing, shard fan-out, cache, JSON encoding — for the single-key /lookup
+// routing, cache, index probe, JSON encoding — for the single-key /lookup
 // endpoint. Sub-benchmarks separate the cache-hit path (one hot key) from
-// the cache-miss path (cache disabled, every request scans the shards).
+// the cache-miss path (cache disabled, every request probes the index).
 func BenchmarkServeLookup(b *testing.B) {
 	maps := serveBenchMappings()
 	run := func(b *testing.B, cacheSize int, key string) {
-		srv := serve.NewFromMappings(maps, serve.Options{Shards: 4, CacheSize: cacheSize})
+		srv := serve.NewFromMappings(maps, serve.Options{CacheSize: cacheSize})
 		h := srv.Handler()
 		url := "/lookup?key=" + key
 		b.ResetTimer()
@@ -370,11 +370,11 @@ func BenchmarkServeLookup(b *testing.B) {
 }
 
 // BenchmarkServeLookupParallel measures concurrent throughput of /lookup —
-// the read-only shards and lock-free state pointer should let parallel
+// the read-only v2 image and lock-free state pointer should let parallel
 // clients scale across cores; only the LRU mutex is shared.
 func BenchmarkServeLookupParallel(b *testing.B) {
 	maps := serveBenchMappings()
-	srv := serve.NewFromMappings(maps, serve.Options{Shards: 4, CacheSize: 1024})
+	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 1024})
 	h := srv.Handler()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -391,11 +391,11 @@ func BenchmarkServeLookupParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkServeAutoFill measures the batch /autofill endpoint over the
-// sharded index.
+// BenchmarkServeAutoFill measures the /autofill endpoint over the state's
+// v2 index.
 func BenchmarkServeAutoFill(b *testing.B) {
 	maps := serveBenchMappings()
-	srv := serve.NewFromMappings(maps, serve.Options{Shards: 4, CacheSize: 0})
+	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 0})
 	h := srv.Handler()
 	body := []byte(`{"column":["left-42-1","left-42-2","left-42-3","left-42-4"],` +
 		`"examples":[{"left":"left-42-1","right":"right-42-1"}],"min_coverage":0.9}`)
@@ -411,8 +411,9 @@ func BenchmarkServeAutoFill(b *testing.B) {
 }
 
 // BenchmarkBatchAutoFill measures the bulk-application claim: filling many
-// columns through apps.AutoFillBatch (shared pool, deduplicated index
-// lookups) versus the same columns through N sequential AutoFill calls.
+// columns through one multi-query Session.AutoFill call (shared pool,
+// deduplicated index lookups) versus the same columns through N sequential
+// single-query calls.
 // The workload is spreadsheet-shaped: 64 column queries over the 200-
 // mapping corpus, with each distinct column appearing twice (repeated key
 // columns are the norm in sheet fills), so both the parallelism and the
@@ -441,18 +442,23 @@ func BenchmarkBatchAutoFill(b *testing.B) {
 	}
 
 	b.Run("sequential", func(b *testing.B) {
+		sess := apps.NewSession(ix)
 		for i := 0; i < b.N; i++ {
 			res := make([]apps.AutoFillResult, len(queries))
-			for j, q := range queries {
-				res[j] = apps.AutoFill(ix, q.Column, q.Examples, q.MinCoverage)
+			for j := range queries {
+				one, err := sess.AutoFill(context.Background(), queries[j:j+1])
+				if err != nil {
+					b.Fatal(err)
+				}
+				res[j] = one[0]
 			}
 			sanity(b, res)
 		}
 	})
 	b.Run("batch1", func(b *testing.B) { // amortization only, no parallelism
-		p := pool.New(1)
+		sess := apps.NewSession(ix, apps.WithPool(pool.New(1)))
 		for i := 0; i < b.N; i++ {
-			res, err := apps.AutoFillBatch(context.Background(), ix, p, queries)
+			res, err := sess.AutoFill(context.Background(), queries)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -460,9 +466,9 @@ func BenchmarkBatchAutoFill(b *testing.B) {
 		}
 	})
 	b.Run("batch", func(b *testing.B) { // amortization + shared pool
-		p := pool.New(0)
+		sess := apps.NewSession(ix, apps.WithPool(pool.New(0)))
 		for i := 0; i < b.N; i++ {
-			res, err := apps.AutoFillBatch(context.Background(), ix, p, queries)
+			res, err := sess.AutoFill(context.Background(), queries)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -477,7 +483,7 @@ func BenchmarkBatchAutoFill(b *testing.B) {
 // requests (BenchmarkServeAutoFill measures one such request).
 func BenchmarkServeBatchAutoFill(b *testing.B) {
 	maps := serveBenchMappings()
-	srv := serve.NewFromMappings(maps, serve.Options{Shards: 4, CacheSize: 0})
+	srv := serve.NewFromMappings(maps, serve.Options{CacheSize: 0})
 	h := srv.Handler()
 	var body bytes.Buffer
 	for q := 0; q < 32; q++ {

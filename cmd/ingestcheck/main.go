@@ -68,14 +68,11 @@ func run(scale float64, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("base synthesis: %w", err)
 	}
-	var baseSnap bytes.Buffer
-	if err := snapshot.WriteV2(&baseSnap, baseRes.Mappings); err != nil {
-		return fmt.Errorf("base snapshot: %w", err)
-	}
 
-	// 2. Source node with ingestion enabled, follower without, both
-	// starting from the identical v2 base image so the follower's
-	// snapshot CRC names a base the source still holds in history.
+	// 2. Source node with ingestion enabled, follower without, both built
+	// from the base mappings: their states are the identical v2 image, so
+	// the follower's snapshot CRC names a base the source still holds in
+	// history.
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	ingestDir, err := os.MkdirTemp("", "ingestcheck")
 	if err != nil {
@@ -97,11 +94,6 @@ func run(scale float64, seed int64) error {
 	defer tsSource.Close()
 	tsFollower := httptest.NewServer(follower.Handler())
 	defer tsFollower.Close()
-	for _, u := range []string{tsSource.URL, tsFollower.URL} {
-		if _, err := client.New(u).Corpus(client.DefaultCorpus).Upload(ctx, baseSnap.Bytes()); err != nil {
-			return fmt.Errorf("installing base image on %s: %w", u, err)
-		}
-	}
 
 	topo, err := cluster.NewTopology([]cluster.Peer{
 		{Name: "source", Addr: tsSource.URL},

@@ -2,11 +2,11 @@ package apps
 
 import "mapsynth/internal/index"
 
-// Index is the containment-lookup surface the applications need. The
-// offline pipeline hands them a single *index.MappingIndex; the serving
-// layer hands them a sharded fan-out index that merges per-shard hits into
-// the same globally ordered hit list, so application results are identical
-// regardless of which implementation answers the query.
+// Index is the containment-lookup surface the applications need: an
+// *index.MappingIndex over heap mappings or over a v2 snapshot image, or a
+// CachedIndex wrapping one for the length of a multi-query call. Every
+// implementation returns the same globally ordered hit list, so
+// application results are identical whichever one answers the query.
 type Index interface {
 	// LookupLeft finds mappings whose left column covers at least
 	// minCoverage of the query values, best first.

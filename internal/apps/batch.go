@@ -1,13 +1,11 @@
 package apps
 
 import (
-	"context"
 	"strconv"
 	"strings"
 	"sync"
 
 	"mapsynth/internal/index"
-	"mapsynth/internal/pool"
 )
 
 // A multi-query Session call is the bulk counterpart of a single-query one:
@@ -25,8 +23,9 @@ import (
 //     repeated key columns), so this amortization is a real win, not a
 //     micro-optimization.
 
-// AutoFillQuery is one auto-fill column query, mirroring the arguments of
-// the deprecated AutoFill free function plus the optional TopK.
+// AutoFillQuery is one auto-fill column query. MinCoverage is the minimum
+// fraction of Column values the mapping's left column must contain; every
+// Example must agree with the mapping.
 type AutoFillQuery struct {
 	Column      []string
 	Examples    []Example
@@ -36,9 +35,9 @@ type AutoFillQuery struct {
 	TopK int
 }
 
-// AutoCorrectQuery is one auto-correct column query, mirroring the
-// arguments of the deprecated AutoCorrect free function plus the optional
-// TopK.
+// AutoCorrectQuery is one auto-correct column query. MinEach is the minimum
+// number of values required on each side of the mapping; MinCoverage the
+// minimum fraction of Column values the mapping must explain.
 type AutoCorrectQuery struct {
 	Column      []string
 	MinEach     int
@@ -48,8 +47,8 @@ type AutoCorrectQuery struct {
 	TopK int
 }
 
-// AutoJoinQuery is one key-column-pair join query, mirroring the arguments
-// of the deprecated AutoJoin free function plus the optional TopK.
+// AutoJoinQuery is one key-column-pair join query. MinCoverage applies to
+// KeysA against the mapping's left column.
 type AutoJoinQuery struct {
 	KeysA, KeysB []string
 	MinCoverage  float64
@@ -58,38 +57,10 @@ type AutoJoinQuery struct {
 	TopK int
 }
 
-// AutoFillBatch runs AutoFill over every query, fanning per-column work out
-// on p (nil selects a GOMAXPROCS-bounded pool) and sharing index lookups
-// between identical columns. results[i] equals AutoFill(ix, queries[i]...)
-// exactly. On cancellation it returns ctx's error and a nil slice.
-//
-// Deprecated: use Session.AutoFill — a batch is just a multi-query call.
-func AutoFillBatch(ctx context.Context, ix Index, p *pool.Pool, queries []AutoFillQuery) ([]AutoFillResult, error) {
-	return NewSession(ix, WithPool(p)).AutoFill(ctx, queries)
-}
-
-// AutoCorrectBatch runs AutoCorrect over every query with the same pooling
-// and lookup sharing as AutoFillBatch. results[i] equals
-// AutoCorrect(ix, queries[i]...) exactly.
-//
-// Deprecated: use Session.AutoCorrect — a batch is just a multi-query call.
-func AutoCorrectBatch(ctx context.Context, ix Index, p *pool.Pool, queries []AutoCorrectQuery) ([]AutoCorrectResult, error) {
-	return NewSession(ix, WithPool(p)).AutoCorrect(ctx, queries)
-}
-
-// AutoJoinBatch runs AutoJoin over every query. Lookup sharing keys on the
-// left key column (the side the index is consulted for), so joining one key
-// column against many target tables costs a single index scan. results[i]
-// equals AutoJoin(ix, queries[i]...) exactly.
-//
-// Deprecated: use Session.AutoJoin — a batch is just a multi-query call.
-func AutoJoinBatch(ctx context.Context, ix Index, p *pool.Pool, queries []AutoJoinQuery) ([]AutoJoinResult, error) {
-	return NewSession(ix, WithPool(p)).AutoJoin(ctx, queries)
-}
-
 // CachedIndex wraps an Index so that repeated identical queries cost one
-// underlying scan. It is what gives a batch its lookup amortization; the
-// serving layer wraps one around the sharded index per /batch/* request.
+// underlying scan. It is what gives a batch its lookup amortization: a
+// Session wraps one around its index per multi-query call, and the serving
+// layer wraps one around a state's index per /batch/* request.
 // Safe for concurrent use; each distinct query computes exactly once even
 // under concurrent access. The cache only grows, so a CachedIndex is meant
 // to live for one batch, not for a process lifetime (the serving layer has

@@ -37,10 +37,11 @@ func sessionQueries() ([]AutoFillQuery, []AutoCorrectQuery, []AutoJoinQuery, []L
 	return fills, corrects, joins, lookups
 }
 
-// TestSessionMatchesFreeFunctions is the golden equivalence test of the v1
-// API redesign: for every query, the Session answer must be byte-identical
-// (JSON encoding) and structurally identical to the deprecated free
-// function's — across pool widths and with lookup dedup both on and off.
+// TestSessionMatchesFreeFunctions is the golden equivalence test of the
+// Session API: for every query, the Session answer must be byte-identical
+// (JSON encoding) and structurally identical to the sequential one-query
+// free function's (autoFillOne, autoCorrectOne, autoJoinOne, lookupOne) —
+// across pool widths and with lookup dedup both on and off.
 func TestSessionMatchesFreeFunctions(t *testing.T) {
 	ix := stateIndex()
 	fills, corrects, joins, lookups := sessionQueries()
@@ -63,7 +64,7 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 			}
 			for i, q := range fills {
 				assertIdentical(t, fmt.Sprintf("autofill %d", i),
-					gotF[i], AutoFill(ix, q.Column, q.Examples, q.MinCoverage))
+					gotF[i], autoFillOne(ix, q))
 			}
 			gotC, err := v.sess.AutoCorrect(ctx, corrects)
 			if err != nil {
@@ -71,7 +72,7 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 			}
 			for i, q := range corrects {
 				assertIdentical(t, fmt.Sprintf("autocorrect %d", i),
-					gotC[i], AutoCorrect(ix, q.Column, q.MinEach, q.MinCoverage))
+					gotC[i], autoCorrectOne(ix, q))
 			}
 			gotJ, err := v.sess.AutoJoin(ctx, joins)
 			if err != nil {
@@ -79,10 +80,8 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 			}
 			for i, q := range joins {
 				assertIdentical(t, fmt.Sprintf("autojoin %d", i),
-					gotJ[i], AutoJoin(ix, q.KeysA, q.KeysB, q.MinCoverage))
+					gotJ[i], autoJoinOne(ix, q))
 			}
-			// Lookup has no legacy free function (it is new with Session);
-			// pin it against the single-query kernel directly.
 			gotL, err := v.sess.Lookup(ctx, lookups)
 			if err != nil {
 				t.Fatal(err)
@@ -95,11 +94,11 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 }
 
 // assertIdentical requires got and want to agree structurally and in their
-// JSON encoding (the byte-compatibility contract of the wrappers).
+// JSON encoding (the byte-compatibility contract of a Session).
 func assertIdentical(t *testing.T, what string, got, want any) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: session = %+v, legacy = %+v", what, got, want)
+		t.Errorf("%s: session = %+v, sequential = %+v", what, got, want)
 		return
 	}
 	gb, err := json.Marshal(got)
@@ -111,7 +110,7 @@ func assertIdentical(t *testing.T, what string, got, want any) {
 		t.Fatalf("%s: %v", what, err)
 	}
 	if string(gb) != string(wb) {
-		t.Errorf("%s: JSON differs:\nsession: %s\nlegacy:  %s", what, gb, wb)
+		t.Errorf("%s: JSON differs:\nsession:    %s\nsequential: %s", what, gb, wb)
 	}
 }
 
@@ -128,7 +127,8 @@ func TestSessionDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := AutoCorrect(ix, []string{"California", "Washington", "OR", "Texas"}, 2, 0.8); !reflect.DeepEqual(res[0], want) {
+	explicit := AutoCorrectQuery{Column: []string{"California", "Washington", "OR", "Texas"}, MinEach: 2, MinCoverage: 0.8}
+	if want := autoCorrectOne(ix, explicit); !reflect.DeepEqual(res[0], want) {
 		t.Errorf("defaulted = %+v, explicit = %+v", res[0], want)
 	}
 	// An explicit MinEach overrides the default and finds the fix.

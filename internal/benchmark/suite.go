@@ -157,7 +157,7 @@ func benchActivation(path, format, firstKey string) (ActivationBench, error) {
 	runtime.ReadMemStats(&after)
 	out.HeapAllocDelta = int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	out.HeapInuseDelta = int64(after.HeapInuse) - int64(before.HeapInuse)
-	out.MappedBytes = srv.State().MappedBytes
+	out.MappedBytes = srv.State().MappedBytes()
 	runtime.KeepAlive(srv)
 	return out, nil
 }
@@ -339,7 +339,7 @@ func RunSuite(ctx context.Context, opts SuiteOptions) (*SuiteResult, error) {
 }
 
 // benchLookup drives GET /v1/lookup through the complete handler chain
-// (request-ID + instrumentation middleware, routing, cache, sharded index)
+// (request-ID + instrumentation middleware, routing, cache, v2 index)
 // with an in-process recorder, rotating across real keys so the cache sees
 // a realistic mix rather than one hot entry.
 func benchLookup(srv *serve.Server, maps []*mapping.Mapping) MicroBench {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"mapsynth/internal/mapping"
 	"mapsynth/internal/qos"
 	"mapsynth/internal/snapshot"
 )
@@ -24,7 +26,7 @@ func TestSnapshotUploadBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, _ := newTestServer(t, 1, 8)
+	srv, _ := newTestServer(t, 8)
 	srv.opts.MaxUploadBytes = 32
 	h := srv.Handler()
 
@@ -57,7 +59,7 @@ func TestSnapshotUploadBound(t *testing.T) {
 	}
 
 	// A server with a roomy bound accepts the identical upload.
-	roomy, _ := newTestServer(t, 1, 8)
+	roomy, _ := newTestServer(t, 8)
 	roomy.opts.MaxUploadBytes = int64(snap.Len())
 	rec = do(t, roomy.Handler(), http.MethodPut, "/v1/corpora/big", snap.Bytes(), "application/octet-stream")
 	if rec.Code != http.StatusCreated {
@@ -69,8 +71,8 @@ func TestSnapshotUploadBound(t *testing.T) {
 // loadable v2 bytes for heap- and mmap-backed states alike, versioned via
 // X-Corpus-Version — the wire contract snapshot-shipped replication rides.
 func TestCorpusSnapshotDownload(t *testing.T) {
-	// Heap-backed (memory) state: re-encoded to v2 on the fly.
-	srv, maps := newTestServer(t, 2, 8)
+	// In-memory state: served from the v2 image NewFromMappings encoded.
+	srv, maps := newTestServer(t, 8)
 	h := srv.Handler()
 	rec := do(t, h, http.MethodGet, "/v1/corpora/default/snapshot", nil, "")
 	if rec.Code != http.StatusOK {
@@ -92,7 +94,7 @@ func TestCorpusSnapshotDownload(t *testing.T) {
 
 	// Round trip: the downloaded bytes are a valid upload body on another
 	// node — exactly what a replica roll does.
-	follower, _ := newTestServer(t, 2, 8)
+	follower, _ := newTestServer(t, 8)
 	fh := follower.Handler()
 	up := do(t, fh, http.MethodPut, "/v1/corpora/shipped", rec.Body.Bytes(), "application/octet-stream")
 	if up.Code != http.StatusCreated {
@@ -120,6 +122,98 @@ func TestCorpusSnapshotDownload(t *testing.T) {
 	}
 	if _, err := snapshot.OpenBytes(rec.Body.Bytes()); err != nil {
 		t.Errorf("v2 download is not an openable v2 image: %v", err)
+	}
+}
+
+// TestInMemoryStatesAreCRCIdentified: states built from in-memory mapping
+// sets (NewFromMappings, AddCorpus, rebuilds) are v2 images like any loaded
+// snapshot. They report snapshot_crc, download as exactly the WriteV2 bytes
+// of their mappings, and serve as delta bases for ?since_crc.
+func TestInMemoryStatesAreCRCIdentified(t *testing.T) {
+	maps := testMappings()
+	rebuilt := testMappings()[:len(maps)-1]
+	srv := NewFromMappings(maps, Options{
+		Rebuild: func(context.Context) ([]*mapping.Mapping, error) { return rebuilt, nil },
+	})
+	added := codedMappings("AC")
+	if _, err := srv.AddCorpus("added", added); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	image := func(ms []*mapping.Mapping) []byte {
+		var buf bytes.Buffer
+		if err := snapshot.WriteV2(&buf, ms); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	crcHexOf := func(b []byte) string {
+		crc, _ := snapshot.FileCRC(b)
+		return fmt.Sprintf("%08x", crc)
+	}
+	check := func(stage string, want map[string][]byte) {
+		t.Helper()
+		var hz struct {
+			Corpora map[string]struct {
+				SnapshotCRC string `json:"snapshot_crc"`
+			} `json:"corpora"`
+		}
+		getJSON(t, h, "/v1/healthz", &hz)
+		var list struct {
+			Corpora []struct {
+				Name        string `json:"name"`
+				SnapshotCRC string `json:"snapshot_crc"`
+			} `json:"corpora"`
+		}
+		getJSON(t, h, "/v1/corpora", &list)
+		listed := map[string]string{}
+		for _, ci := range list.Corpora {
+			listed[ci.Name] = ci.SnapshotCRC
+		}
+		for name, img := range want {
+			crc := crcHexOf(img)
+			if got := hz.Corpora[name].SnapshotCRC; got != crc {
+				t.Errorf("%s: /v1/healthz %s snapshot_crc = %q, want %s", stage, name, got, crc)
+			}
+			if got := listed[name]; got != crc {
+				t.Errorf("%s: /v1/corpora %s snapshot_crc = %q, want %s", stage, name, got, crc)
+			}
+			rec := getJSON(t, h, "/v1/corpora/"+name+"/snapshot", nil)
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), img) {
+				t.Errorf("%s: GET %s snapshot (status %d, %d bytes) is not WriteV2 of its mappings (%d bytes)",
+					stage, name, rec.Code, rec.Body.Len(), len(img))
+			}
+		}
+	}
+	first := image(maps)
+	check("initial", map[string][]byte{"default": first, "added": image(added)})
+	if _, err := srv.RebuildContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	check("rebuilt", map[string][]byte{"default": image(rebuilt), "added": image(added)})
+
+	// The first, NewFromMappings-built version is now on the history ring;
+	// naming its CRC yields a delta that rebuilds the live image from it.
+	rec := getJSON(t, h, "/v1/corpora/default/snapshot?since_crc="+crcHexOf(first), nil)
+	if !snapshot.IsDelta(rec.Body.Bytes()) {
+		t.Fatalf("since_crc of the first version: response is not a delta (%d bytes)", rec.Body.Len())
+	}
+	if got := rec.Header().Get("X-Delta-Base-CRC"); got != crcHexOf(first) {
+		t.Errorf("X-Delta-Base-CRC = %q, want %s", got, crcHexOf(first))
+	}
+	if got := rec.Header().Get("X-Delta-Base"); got != "1" {
+		t.Errorf("X-Delta-Base = %q, want 1", got)
+	}
+	d, err := snapshot.OpenDelta(rec.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := d.Apply(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(target, image(rebuilt)) {
+		t.Error("delta applied to the first version does not rebuild the live image")
 	}
 }
 
@@ -251,7 +345,7 @@ func TestRegistryConcurrentLifecycle(t *testing.T) {
 	if err := snapshot.WriteV2(&v2, codedMappings("CC")); err != nil {
 		t.Fatal(err)
 	}
-	srv, _ := newTestServer(t, 1, 8)
+	srv, _ := newTestServer(t, 8)
 	h := srv.Handler()
 
 	const (
@@ -320,7 +414,7 @@ func TestRegistryConcurrentLifecycle(t *testing.T) {
 }
 
 // TestMadviseSurfaced: with -madvise configured, a v2 load applies the hint
-// and surfaces it in corpus metadata; heap-backed states never claim one.
+// and surfaces it in corpus metadata; in-memory images never claim one.
 func TestMadviseSurfaced(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "adv.snap2")
 	if err := snapshot.WriteFileV2(path, codedMappings("AD")); err != nil {
@@ -340,11 +434,11 @@ func TestMadviseSurfaced(t *testing.T) {
 	if info.Format != "v2" || info.Madvise != "willneed" {
 		t.Errorf("adv corpus = format %q madvise %q, want v2/willneed", info.Format, info.Madvise)
 	}
-	// The heap-backed default corpus shows no madvise.
+	// The in-memory default corpus shows no madvise.
 	info.Format, info.Madvise = "", ""
 	getJSON(t, h, "/v1/corpora/default", &info)
 	if info.Madvise != "" {
-		t.Errorf("heap-backed corpus claims madvise %q", info.Madvise)
+		t.Errorf("in-memory corpus claims madvise %q", info.Madvise)
 	}
 }
 

@@ -36,13 +36,14 @@ type corpusInfo struct {
 	Name     string `json:"name"`
 	Version  int64  `json:"version"`
 	Snapshot string `json:"snapshot,omitempty"`
-	// Format is the snapshot format backing the live state: "memory", "v1"
-	// (decoded onto the heap) or "v2" (served from a mapped region).
+	// Format is where the live state came from: "memory" (an in-memory
+	// mapping set), "v1" (a v1 snapshot, converted to v2 at load) or "v2".
+	// Every state is served from a v2 image either way.
 	Format   string `json:"format"`
 	Mappings int    `json:"mappings"`
 	Pairs    int    `json:"pairs"`
-	Shards   int    `json:"shards"`
-	// MappedBytes is the mmapped region size of a v2 state; 0 otherwise.
+	// MappedBytes is the size of the live state's v2 image: the mmapped
+	// file region of a v2 snapshot, the in-memory image otherwise.
 	MappedBytes int64 `json:"mapped_bytes,omitempty"`
 	// Madvise is the page-cache hint applied to a mapped v2 state's region
 	// ("willneed" or "random", the -madvise flag); absent when none.
@@ -55,9 +56,9 @@ type corpusInfo struct {
 	// History lists the version numbers available for activate/rollback,
 	// most recently live last.
 	History []int64 `json:"history,omitempty"`
-	// SnapshotCRC is the whole-file CRC of a v2-backed state's snapshot
-	// image (hex) — the content identity delta replication matches on.
-	SnapshotCRC string `json:"snapshot_crc,omitempty"`
+	// SnapshotCRC is the whole-file CRC of the live state's v2 image
+	// (hex) — the content identity delta replication matches on.
+	SnapshotCRC string `json:"snapshot_crc"`
 	// Ingest reports live-ingestion staleness (log head vs applied LSN);
 	// absent for corpora never ingested into.
 	Ingest *ingest.Status `json:"ingest,omitempty"`
@@ -65,26 +66,22 @@ type corpusInfo struct {
 
 func (s *Server) infoFor(c *corpus) corpusInfo {
 	st := c.state.Load()
-	info := corpusInfo{
+	return corpusInfo{
 		Name:              c.name,
 		Version:           st.Version,
 		Snapshot:          st.Path,
 		Format:            st.FormatName(),
 		Mappings:          st.NumMappings(),
-		Pairs:             st.pairs,
-		Shards:            st.Index.NumShards(),
-		MappedBytes:       st.MappedBytes,
+		Pairs:             st.handle.Pairs(),
+		MappedBytes:       st.MappedBytes(),
 		Madvise:           st.Madvise,
 		ActivationSeconds: st.ActivationSeconds,
 		LoadedAt:          st.LoadedAt.UTC().Format(time.RFC3339),
 		Reloads:           c.reloads.Load(),
 		History:           c.historyVersions(),
+		SnapshotCRC:       crcHex(st),
+		Ingest:            s.ingestStatusFor(c.name),
 	}
-	if crc, ok := stateCRC(st); ok {
-		info.SnapshotCRC = fmt.Sprintf("%08x", crc)
-	}
-	info.Ingest = s.ingestStatusFor(c.name)
-	return info
 }
 
 func (s *Server) handleCorporaList(w http.ResponseWriter, r *http.Request) {
@@ -189,7 +186,7 @@ func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request, name st
 		"snapshot":    st.Path,
 		"format":      st.FormatName(),
 		"mappings":    st.NumMappings(),
-		"pairs":       st.pairs,
+		"pairs":       st.handle.Pairs(),
 		"loaded_at":   st.LoadedAt.UTC().Format(time.RFC3339),
 		"duration_ms": float64(time.Since(t0).Microseconds()) / 1000,
 	})
@@ -229,10 +226,9 @@ func (s *Server) writeUploadTooLarge(w http.ResponseWriter, r *http.Request, err
 
 // handleCorpusSnapshot serves GET /v1/corpora/{name}/snapshot: the live
 // state's exact v2 snapshot bytes, the wire format of snapshot-shipped
-// replication. A v2-backed state streams its mapped file image zero-copy; a
-// heap-backed state (memory or decoded v1) is re-encoded to v2 on the fly so
-// any node can act as a roll source. The X-Corpus-Version header carries the
-// source version for the replicator's convergence check.
+// replication, streamed zero-copy from the state's image whatever format
+// it came from, so any node can act as a roll source. The X-Corpus-Version
+// header carries the source version for the replicator's convergence check.
 // The ?since=V and ?since_crc=HEX query parameters request a delta: the
 // caller names the full snapshot it already holds (by this corpus's version
 // number, or — across nodes, whose version counters are unrelated — by the
@@ -240,22 +236,15 @@ func (s *Server) writeUploadTooLarge(w http.ResponseWriter, r *http.Request, err
 // live state or the history ring, the response is a delta file
 // reconstructing the live snapshot from it. The X-Delta-Base and
 // X-Delta-Base-CRC headers mark a delta response. Any miss — unknown base,
-// non-v2 base with nothing to diff against, encoding failure — silently
-// falls back to the full snapshot: the parameters are an optimization, not
-// a contract.
+// encoding failure, a delta no smaller than the snapshot — silently falls
+// back to the full snapshot: the parameters are an optimization, not a
+// contract.
 func (s *Server) handleCorpusSnapshot(c *corpus, w http.ResponseWriter, r *http.Request) {
 	st := c.state.Load()
-	data, err := stateSnapshotBytes(st)
-	if err != nil {
-		writeError(w, r, CodeUnprocessable,
-			fmt.Sprintf("corpus %q has no serializable state: %s", c.name, err))
-		return
-	}
+	data := st.handle.Bytes()
 	if delta, base := s.corpusDelta(c, st, data, r); delta != nil {
 		w.Header().Set("X-Delta-Base", strconv.FormatInt(base.Version, 10))
-		if crc, ok := stateCRC(base); ok {
-			w.Header().Set("X-Delta-Base-CRC", fmt.Sprintf("%08x", crc))
-		}
+		w.Header().Set("X-Delta-Base-CRC", crcHex(base))
 		data = delta
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -290,11 +279,7 @@ func (s *Server) corpusDelta(c *corpus, live *State, liveData []byte, r *http.Re
 	if base == nil {
 		return nil, nil
 	}
-	baseData, err := stateSnapshotBytes(base)
-	if err != nil {
-		return nil, nil
-	}
-	delta, err := snapshot.BuildDelta(baseData, liveData, base.Version, live.Version)
+	delta, err := snapshot.BuildDelta(base.handle.Bytes(), liveData, base.Version, live.Version)
 	if err != nil || len(delta) >= len(liveData) {
 		return nil, nil // a delta that doesn't save bytes is not worth a two-format protocol
 	}

@@ -12,10 +12,11 @@ import (
 	"mapsynth/internal/snapshot"
 )
 
-// TestFormatGoldenParity is the v1↔v2 contract: the same mapping set served
-// from a decoded v1 snapshot and from a mapped v2 snapshot must answer every
-// application endpoint byte-identically. Format is a storage choice, never a
-// semantics choice.
+// TestFormatGoldenParity is the source-format contract: the same mapping
+// set served from a v1 snapshot (converted at load), from a mapped v2
+// snapshot and from memory (NewFromMappings) must answer every application
+// endpoint byte-identically. Format is a storage choice, never a semantics
+// choice.
 func TestFormatGoldenParity(t *testing.T) {
 	maps := testMappings()
 	dir := t.TempDir()
@@ -29,29 +30,34 @@ func TestFormatGoldenParity(t *testing.T) {
 	}
 
 	newSrv := func(path string) *Server {
-		s, err := New(Options{SnapshotPath: path, Shards: 3, CacheSize: 16})
+		s, err := New(Options{SnapshotPath: path, CacheSize: 16})
 		if err != nil {
 			t.Fatalf("New(%s): %v", path, err)
 		}
 		return s
 	}
-	s1, s2 := newSrv(v1Path), newSrv(v2Path)
+	servers := []struct {
+		name   string
+		srv    *Server
+		format int
+	}{
+		{"v1", newSrv(v1Path), 1},
+		{"v2", newSrv(v2Path), 2},
+		{"memory", NewFromMappings(maps, Options{CacheSize: 16}), 0},
+	}
+	for _, sv := range servers {
+		st := sv.srv.State()
+		if st.Format != sv.format {
+			t.Fatalf("%s state format = %d, want %d", sv.name, st.Format, sv.format)
+		}
+		if st.MappedBytes() <= 0 {
+			t.Fatalf("%s state MappedBytes = %d, want > 0", sv.name, st.MappedBytes())
+		}
+		if st.NumMappings() != len(maps) {
+			t.Fatalf("%s state mappings = %d, want %d", sv.name, st.NumMappings(), len(maps))
+		}
+	}
 
-	if got := s1.State().Format; got != 1 {
-		t.Fatalf("v1 state format = %d, want 1", got)
-	}
-	st2 := s2.State()
-	if st2.Format != 2 {
-		t.Fatalf("v2 state format = %d, want 2", st2.Format)
-	}
-	if st2.MappedBytes <= 0 {
-		t.Fatalf("v2 state MappedBytes = %d, want > 0", st2.MappedBytes)
-	}
-	if st2.NumMappings() != len(maps) {
-		t.Fatalf("v2 state mappings = %d, want %d", st2.NumMappings(), len(maps))
-	}
-
-	h1, h2 := s1.Handler(), s2.Handler()
 	do := func(h http.Handler, method, path, body string) (int, []byte) {
 		var r *http.Request
 		if body == "" {
@@ -80,31 +86,44 @@ func TestFormatGoldenParity(t *testing.T) {
 	}
 	// Batch endpoints are deliberately absent: rows stream in completion
 	// order and the trailer carries a per-request ID, so their bytes are
-	// nondeterministic even between two identical heap servers.
+	// nondeterministic even between two identical servers.
+	ref := servers[1]
 	for _, rq := range reqs {
-		c1, b1 := do(h1, rq.method, rq.path, rq.body)
-		c2, b2 := do(h2, rq.method, rq.path, rq.body)
-		if c1 != c2 {
-			t.Errorf("%s %s: status %d (v1) != %d (v2)", rq.method, rq.path, c1, c2)
-			continue
-		}
-		if !bytes.Equal(b1, b2) {
-			t.Errorf("%s %s:\n v1: %s\n v2: %s", rq.method, rq.path, b1, b2)
+		wantCode, want := do(ref.srv.Handler(), rq.method, rq.path, rq.body)
+		for _, sv := range servers {
+			code, got := do(sv.srv.Handler(), rq.method, rq.path, rq.body)
+			if code != wantCode {
+				t.Errorf("%s %s: status %d (%s) != %d (%s)", rq.method, rq.path, code, sv.name, wantCode, ref.name)
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s %s:\n %s: %s\n %s: %s", rq.method, rq.path, sv.name, got, ref.name, want)
+			}
 		}
 	}
 
-	// The metadata surfaces must disagree exactly where the formats differ.
-	_, info := do(h2, "GET", "/v1/corpora/default", "")
-	var ci struct {
-		Format      string `json:"format"`
-		MappedBytes int64  `json:"mapped_bytes"`
-		Mappings    int    `json:"mappings"`
-	}
-	if err := json.Unmarshal(info, &ci); err != nil {
-		t.Fatalf("corpora metadata: %v", err)
-	}
-	if ci.Format != "v2" || ci.MappedBytes <= 0 || ci.Mappings != len(maps) {
-		t.Fatalf("v2 corpora metadata = %+v, want format v2 with mapped bytes", ci)
+	// The metadata surfaces name the source format; every source serves
+	// the same v2 image.
+	var crc string
+	for _, sv := range servers {
+		_, info := do(sv.srv.Handler(), "GET", "/v1/corpora/default", "")
+		var ci struct {
+			Format      string `json:"format"`
+			MappedBytes int64  `json:"mapped_bytes"`
+			Mappings    int    `json:"mappings"`
+			SnapshotCRC string `json:"snapshot_crc"`
+		}
+		if err := json.Unmarshal(info, &ci); err != nil {
+			t.Fatalf("%s corpora metadata: %v", sv.name, err)
+		}
+		if ci.Format != sv.name || ci.MappedBytes <= 0 || ci.Mappings != len(maps) || ci.SnapshotCRC == "" {
+			t.Fatalf("%s corpora metadata = %+v, want format %s with mapped bytes and a crc", sv.name, ci, sv.name)
+		}
+		if crc == "" {
+			crc = ci.SnapshotCRC
+		} else if ci.SnapshotCRC != crc {
+			t.Errorf("%s snapshot_crc = %s, want %s (one v2 image for every source)", sv.name, ci.SnapshotCRC, crc)
+		}
 	}
 }
 

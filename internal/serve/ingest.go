@@ -1,13 +1,13 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"mapsynth/internal/ingest"
@@ -154,7 +154,7 @@ func (s *Server) handleIngestTables(w http.ResponseWriter, r *http.Request) {
 // ingestorFor returns the corpus's ingestor, creating it on first use: the
 // append log opens (replaying any persisted rows) under IngestDir, the base
 // tables come from Options.IngestBase, and published versions install
-// through the registry's versioned activate path as v2-backed states.
+// through the registry's versioned activate path as format-v2 states.
 func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 	return s.ingest.GetOrCreate(name, func() (*ingest.Ingestor, error) {
 		opts := ingest.Options{
@@ -181,7 +181,10 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 		// every publish: the pre-ingest corpus is a fixed base layer,
 		// ingested synthesis stacks on top with fresh IDs.
 		if len(opts.Base) == 0 {
-			if frozen := s.frozenBaseMappings(name); len(frozen) > 0 {
+			// frozen's strings are views into live's v2 image; the
+			// publish closure holds live so a mapped image outlives them.
+			if live := s.CorpusState(name); live != nil && live.NumMappings() > 0 {
+				frozen := live.handle.Materialize()
 				maxID := 0
 				for _, m := range frozen {
 					if m.ID > maxID {
@@ -199,35 +202,14 @@ func (s *Server) ingestorFor(name string) (*ingest.Ingestor, error) {
 						nm.ID = maxID + 1 + i
 						out = append(out, &nm)
 					}
-					return inner(out, lsn)
+					err := inner(out, lsn)
+					runtime.KeepAlive(live)
+					return err
 				}
 			}
 		}
 		return ingest.NewIngestor(opts)
 	})
-}
-
-// frozenBaseMappings captures the corpus's currently served mapping set as
-// the fixed base layer for base-less ingestion. Nil when the corpus is
-// empty or has no serializable state.
-func (s *Server) frozenBaseMappings(name string) []*mapping.Mapping {
-	c := s.reg.get(name)
-	if c == nil {
-		return nil
-	}
-	st := c.state.Load()
-	if st == nil || st.NumMappings() == 0 {
-		return nil
-	}
-	data, err := stateSnapshotBytes(st)
-	if err != nil {
-		return nil
-	}
-	maps, err := snapshot.Decode(data)
-	if err != nil {
-		return nil
-	}
-	return maps
 }
 
 func (s *Server) ingestConfig() pipeline.Config {
@@ -240,26 +222,20 @@ func (s *Server) ingestConfig() pipeline.Config {
 }
 
 // publishIngest installs a synthesized mapping set as the corpus's next
-// version. The set is canonically encoded to v2 and decoded back so the
-// installed state is v2-backed: byte-addressable for snapshot GETs, CRC-
-// identified for delta shipping — and byte-identical to what an offline
-// rebuild over the same tables would snapshot (the incremental engine's
-// golden parity contract). swapIn is atomic, so queries never observe a
-// partially applied version.
+// version. Its v2 image is byte-identical to what an offline rebuild over
+// the same tables would snapshot (the incremental engine's golden parity
+// contract), and the state reports format "v2". swapIn is atomic, so
+// queries never observe a partially applied version.
 func (s *Server) publishIngest(name string, maps []*mapping.Mapping) error {
 	t0 := time.Now()
-	var buf bytes.Buffer
-	if err := snapshot.WriteV2(&buf, maps); err != nil {
-		return err
-	}
-	ld, err := snapshot.LoadBytes(buf.Bytes())
+	h, err := snapshot.FromMappings(maps)
 	if err != nil {
 		return err
 	}
 	c := s.reg.shell(name)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	s.swapIn(name, s.buildLoadedState(ld, "", t0))
+	s.swapIn(name, s.newState(h, 2, "", t0))
 	return nil
 }
 

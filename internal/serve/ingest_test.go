@@ -36,7 +36,6 @@ func ingestCorpus(t *testing.T, hold int) (base, held []*table.Table) {
 func newIngestServer(t *testing.T, base []*table.Table) *Server {
 	t.Helper()
 	srv := NewFromMappings(testMappings(), Options{
-		Shards:    2,
 		CacheSize: 16,
 		IngestDir: t.TempDir(),
 		IngestBase: func(ctx context.Context, corpus string) ([]*table.Table, error) {
@@ -408,7 +407,6 @@ func twoColTable(id int, domain string, keys, vals []string) *table.Table {
 // ingested tables alone.
 func TestIngestWithoutBasePreservesCorpus(t *testing.T) {
 	srv := NewFromMappings(testMappings(), Options{
-		Shards:    2,
 		CacheSize: 16,
 		IngestDir: t.TempDir(),
 	})

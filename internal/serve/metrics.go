@@ -182,17 +182,17 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 			}
 		})
 	reg.GaugeVecFunc("mapsynth_corpus_snapshot_format",
-		"Snapshot format backing each corpus's live state (0 in-memory, 1, 2).", []string{"corpus"},
+		"Snapshot format each corpus's live state came from (0 in-memory, 1, 2); every state is served from a v2 image.", []string{"corpus"},
 		func(emit func([]string, float64)) {
 			for _, c := range s.reg.list() {
 				emit([]string{c.name}, float64(c.state.Load().Format))
 			}
 		})
 	reg.GaugeVecFunc("mapsynth_corpus_mapped_bytes",
-		"Bytes of mmapped snapshot region backing each corpus's live state (0 for heap-backed states).", []string{"corpus"},
+		"Bytes of the v2 image backing each corpus's live state (the mmapped file of a v2 snapshot, an in-memory image otherwise).", []string{"corpus"},
 		func(emit func([]string, float64)) {
 			for _, c := range s.reg.list() {
-				emit([]string{c.name}, float64(c.state.Load().MappedBytes))
+				emit([]string{c.name}, float64(c.state.Load().MappedBytes()))
 			}
 		})
 	reg.GaugeVecFunc("mapsynth_corpus_activation_seconds",
@@ -206,7 +206,7 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 		"Key-value pairs in each corpus's live state.", []string{"corpus"},
 		func(emit func([]string, float64)) {
 			for _, c := range s.reg.list() {
-				emit([]string{c.name}, float64(c.state.Load().pairs))
+				emit([]string{c.name}, float64(c.state.Load().handle.Pairs()))
 			}
 		})
 	reg.CounterVecFunc("mapsynth_corpus_reloads_total",

@@ -1,14 +1,15 @@
 // Package serve is the online half of the index-once/serve-many split: it
-// loads snapshots written by cmd/synthesize into hash-sharded read-only
-// index shards and serves the paper's three end-user applications —
-// auto-fill, auto-correct, auto-join (Section 4.3) — plus single-key lookup
-// over HTTP. One process serves many named corpora (a registry of
-// name → state), each behind an atomic.Pointer so a snapshot load, an
-// activate or a rollback swaps that corpus's entire mapping set, index and
-// result cache in one pointer store while in-flight queries keep reading
-// the state they started with. The unscoped paths (/v1/lookup, …) are
-// byte-identical aliases for the "default" corpus's scoped paths
-// (/v1/corpora/default/lookup, …).
+// holds every corpus state as a v2 snapshot image (mmapped from a v2 file,
+// or encoded in memory from a v1 file, an in-memory mapping set, a rebuild
+// or an ingest publish) and serves the paper's three end-user applications
+// — auto-fill, auto-correct, auto-join (Section 4.3) — plus single-key
+// lookup over HTTP from one containment index over that image. One process
+// serves many named corpora (a registry of name → state), each behind an
+// atomic.Pointer so a snapshot load, an activate or a rollback swaps that
+// corpus's entire mapping set, index and result cache in one pointer store
+// while in-flight queries keep reading the state they started with. The
+// unscoped paths (/v1/lookup, …) are byte-identical aliases for the
+// "default" corpus's scoped paths (/v1/corpora/default/lookup, …).
 package serve
 
 import (
@@ -47,8 +48,6 @@ type Options struct {
 	// construction. Names must match [A-Za-z0-9._-]{1,64} and must not be
 	// "default" (that one comes from SnapshotPath).
 	Corpora map[string]string
-	// Shards is the number of index shards; < 1 selects GOMAXPROCS.
-	Shards int
 	// CacheSize bounds each corpus state's lookup result cache (entries);
 	// < 1 disables it.
 	CacheSize int
@@ -137,26 +136,9 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// CorpusIndex is the containment index a State serves queries from:
-// apps.Index plus the introspection the stats/corpora surfaces need. Heap
-// states use the hash-sharded ShardedIndex; mmap-backed v2 states use one
-// monolithic index over the mapped region (the scan is a Bloom-word probe
-// per mapping, so shard fan-out buys nothing there).
-type CorpusIndex interface {
-	apps.Index
-	Len() int
-	Mapping(i int) *mapping.Mapping
-	NumShards() int
-}
-
-// monoIndex adapts a monolithic index.MappingIndex to CorpusIndex.
-type monoIndex struct{ *index.MappingIndex }
-
-func (monoIndex) NumShards() int { return 1 }
-
-// State is one immutable loaded snapshot: the mapping source, its
-// containment index, the apps.Session answering queries against it, and the
-// result cache that is only valid against this mapping set. A corpus swaps
+// State is one immutable loaded snapshot: the v2 image, its containment
+// index, the apps.Session answering queries against it, and the result
+// cache that is only valid against this mapping set. A corpus swaps
 // its whole State atomically on load/activate/rollback; superseded states
 // stay on the corpus's bounded history ring so they can be re-activated.
 type State struct {
@@ -166,35 +148,32 @@ type State struct {
 	// number; activate/rollback re-expose old versions without minting new
 	// ones, so a version identifies one immutable state forever.
 	Version int64
-	// Maps holds the materialized mapping set of heap-backed states; it is
-	// nil for mmap-backed v2 states, whose mappings materialize lazily
-	// through the Index. Use NumMappings for the count.
-	Maps  []*mapping.Mapping
-	Index CorpusIndex
-	// Format is the snapshot format backing this state: 0 for in-memory
-	// mapping sets, 1 for decoded v1 snapshots, 2 for mmapped v2 snapshots.
+	// Index answers containment queries straight out of the state's v2
+	// image; mappings materialize lazily on first hit.
+	Index *index.MappingIndex
+	// Format is where the state came from: 0 for in-memory mapping sets
+	// (NewFromMappings, AddCorpus, rebuilds), 1 for v1 snapshots (converted
+	// to v2 at load), 2 for v2 snapshots and ingest publishes.
 	Format int
-	// MappedBytes is the size of the mmapped region backing a v2 state; 0
-	// for heap-backed states.
-	MappedBytes int64
 	// ActivationSeconds is how long this state took from snapshot open to
-	// query-ready (decode/mmap + index + session construction).
+	// query-ready (decode/encode/mmap + index + session construction).
 	ActivationSeconds float64
 	// Madvise is the page-cache hint applied to this state's mapped region
 	// ("willneed" or "random"); empty when none was applied.
 	Madvise string
-	// handle keeps a v2 state's mapped region alive: materialized mappings
-	// hold zero-copy views into it and must not outlive it.
-	handle   *snapshot.Handle
-	mappings int
-	session  *apps.Session
-	cache    *lruCache
-	pairs    int
+	// handle holds the state's v2 image: materialized mappings hold
+	// zero-copy views into it and must not outlive it.
+	handle  *snapshot.Handle
+	session *apps.Session
+	cache   *lruCache
 }
 
-// NumMappings returns the number of mappings in the state, whether they
-// are materialized (Maps) or served lazily from a mapped region.
-func (st *State) NumMappings() int { return st.mappings }
+// NumMappings returns the number of mappings in the state.
+func (st *State) NumMappings() int { return st.handle.Len() }
+
+// MappedBytes returns the size of the state's v2 image: the mmapped file
+// region of a v2 snapshot, or the in-memory image of any other state.
+func (st *State) MappedBytes() int64 { return st.handle.MappedBytes() }
 
 // FormatName renders Format for humans and label values.
 func (st *State) FormatName() string {
@@ -308,49 +287,35 @@ func New(opts Options) (*Server, error) {
 }
 
 // NewFromMappings builds a server whose default corpus is an in-memory
-// mapping set — the entry point for tests and benchmarks that skip the
-// snapshot file.
+// mapping set — the entry point for tests, examples and benchmarks that
+// skip the snapshot file. The set is encoded to a v2 image like every
+// other state; it panics if that encoding fails, which happens only when
+// the set has no v2 encoding, such as a section past 4 GiB (AddCorpus
+// returns the same error instead).
 func NewFromMappings(maps []*mapping.Mapping, opts Options) *Server {
 	s := newServer(opts)
-	s.swapIn(DefaultCorpus, s.buildState(maps, opts.SnapshotPath))
+	t0 := time.Now()
+	h, err := snapshot.FromMappings(maps)
+	if err != nil {
+		panic(fmt.Sprintf("serve: encoding the default corpus: %v", err))
+	}
+	s.swapIn(DefaultCorpus, s.newState(h, 0, opts.SnapshotPath, t0))
 	return s
 }
 
-// buildState assembles one immutable heap-backed serving state (sharded
-// index, session, cache) off to the side; the caller swaps it in and sets
-// Format/ActivationSeconds as appropriate.
-func (s *Server) buildState(maps []*mapping.Mapping, path string) *State {
+// newState assembles one immutable serving state over a v2 image off to
+// the side; the caller swaps it in. The index reads Bloom bits, postings
+// and value tables straight out of the image, so construction is O(1) in
+// the corpus size. format records where the image came from (State.Format)
+// and t0 when its activation began.
+func (s *Server) newState(h *snapshot.Handle, format int, path string, t0 time.Time) *State {
 	st := &State{
 		Path:     path,
 		LoadedAt: time.Now(),
-		Maps:     maps,
-		Index:    NewShardedIndex(maps, s.opts.Shards),
-		mappings: len(maps),
+		Index:    index.FromSource(h),
+		Format:   format,
+		handle:   h,
 		cache:    newLRU(s.opts.CacheSize),
-	}
-	st.session = apps.NewSession(st.Index,
-		apps.WithDefaults(serveDefaults),
-		apps.WithPool(s.pool))
-	for _, m := range maps {
-		st.pairs += m.Size()
-	}
-	return st
-}
-
-// buildStateV2 assembles a serving state over a mapped v2 snapshot: the
-// index reads Bloom bits, postings and value tables straight out of the
-// region, so construction is O(1) in the corpus size.
-func (s *Server) buildStateV2(h *snapshot.Handle, path string) *State {
-	st := &State{
-		Path:        path,
-		LoadedAt:    time.Now(),
-		Index:       monoIndex{index.FromSource(h)},
-		Format:      2,
-		MappedBytes: h.MappedBytes(),
-		handle:      h,
-		mappings:    h.Len(),
-		pairs:       h.Pairs(),
-		cache:       newLRU(s.opts.CacheSize),
 	}
 	if s.opts.Madvise != snapshot.AdviseNone && h.Mapped() {
 		if err := h.Advise(s.opts.Madvise); err != nil {
@@ -362,19 +327,6 @@ func (s *Server) buildStateV2(h *snapshot.Handle, path string) *State {
 	st.session = apps.NewSession(st.Index,
 		apps.WithDefaults(serveDefaults),
 		apps.WithPool(s.pool))
-	return st
-}
-
-// buildLoadedState dispatches a format-aware snapshot load result to the
-// matching state builder and stamps its activation time.
-func (s *Server) buildLoadedState(ld snapshot.Loaded, path string, t0 time.Time) *State {
-	var st *State
-	if ld.Format == 2 {
-		st = s.buildStateV2(ld.Handle, path)
-	} else {
-		st = s.buildState(ld.Maps, path)
-		st.Format = 1
-	}
 	st.ActivationSeconds = time.Since(t0).Seconds()
 	return st
 }
@@ -420,11 +372,16 @@ func (s *Server) RebuildContext(ctx context.Context) (*State, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	t0 := time.Now()
+	h, err := snapshot.FromMappings(maps)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encoding rebuilt mappings: %w", err)
+	}
 	path := s.opts.SnapshotPath
 	if cur := c.state.Load(); cur != nil {
 		path = cur.Path
 	}
-	return s.swapIn(DefaultCorpus, s.buildState(maps, path)), nil
+	return s.swapIn(DefaultCorpus, s.newState(h, 0, path, t0)), nil
 }
 
 // State returns the default corpus's currently serving state.
@@ -718,8 +675,8 @@ func (s *Server) Lookup(key string) lookupResponse {
 // lookupIn answers a single-key query against one state, consulting its
 // bounded LRU cache first. The answer itself comes from the state's
 // apps.Session: among all mappings containing the key, the one with the
-// most contributing domains wins (the paper's popularity signal), matching
-// the ordering of ShardedIndex.LookupLeft.
+// most contributing domains wins (the paper's popularity signal), the
+// ordering of index.MappingIndex.LookupLeft.
 func lookupIn(st *State, key string) lookupResponse {
 	nk := textnorm.Normalize(key)
 	if resp, ok := st.cache.get(nk); ok {
@@ -897,12 +854,11 @@ type corpusHealth struct {
 	Format     string  `json:"format"`
 	Mappings   int     `json:"mappings"`
 	Pairs      int     `json:"pairs"`
-	Shards     int     `json:"shards"`
 	LoadedAt   string  `json:"loaded_at"`
 	AgeSeconds float64 `json:"age_s"`
-	// SnapshotCRC is the hex whole-file CRC of a v2-backed state's image —
-	// the base identity a replica quotes in ?since_crc to request a delta.
-	SnapshotCRC string `json:"snapshot_crc,omitempty"`
+	// SnapshotCRC is the hex whole-file CRC of the state's v2 image — the
+	// base identity a replica quotes in ?since_crc to request a delta.
+	SnapshotCRC string `json:"snapshot_crc"`
 	// Ingest reports live-ingestion staleness; absent when the corpus has
 	// never been ingested into.
 	Ingest *ingest.Status `json:"ingest,omitempty"`
@@ -920,21 +876,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	corpora := make(map[string]corpusHealth)
 	for _, c := range s.reg.list() {
 		st := c.state.Load()
-		ch := corpusHealth{
-			Snapshot:   st.Path,
-			Version:    st.Version,
-			Format:     st.FormatName(),
-			Mappings:   st.NumMappings(),
-			Pairs:      st.pairs,
-			Shards:     st.Index.NumShards(),
-			LoadedAt:   st.LoadedAt.UTC().Format(time.RFC3339),
-			AgeSeconds: time.Since(st.LoadedAt).Seconds(),
-			Ingest:     s.ingestStatusFor(c.name),
+		corpora[c.name] = corpusHealth{
+			Snapshot:    st.Path,
+			Version:     st.Version,
+			Format:      st.FormatName(),
+			Mappings:    st.NumMappings(),
+			Pairs:       st.handle.Pairs(),
+			LoadedAt:    st.LoadedAt.UTC().Format(time.RFC3339),
+			AgeSeconds:  time.Since(st.LoadedAt).Seconds(),
+			SnapshotCRC: crcHex(st),
+			Ingest:      s.ingestStatusFor(c.name),
 		}
-		if crc, ok := stateCRC(st); ok {
-			ch.SnapshotCRC = fmt.Sprintf("%08x", crc)
-		}
-		corpora[c.name] = ch
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
@@ -1031,9 +983,8 @@ func (s *Server) statsFor(c *corpus) StatsSnapshot {
 			"format":       st.FormatName(),
 			"loaded_at":    st.LoadedAt.UTC().Format(time.RFC3339),
 			"mappings":     st.NumMappings(),
-			"pairs":        st.pairs,
-			"shards":       st.Index.NumShards(),
-			"mapped_bytes": st.MappedBytes,
+			"pairs":        st.handle.Pairs(),
+			"mapped_bytes": st.MappedBytes(),
 			"activation_s": st.ActivationSeconds,
 		},
 		Ingest: s.ingestStatusFor(c.name),

@@ -192,16 +192,36 @@ func OpenBytes(data []byte) (*Handle, error) {
 	return openData(aligned, false, "")
 }
 
+// FromMappings turns an in-memory mapping set into a v2 handle: the v2
+// writer encodes it into an aligned buffer, which is opened in place. The
+// handle answers every query exactly as a file written by WriteV2 would.
+// It fails only when the set has no v2 encoding: a section past 4 GiB, an
+// id outside int32 or a pair support past uint32.
+func FromMappings(maps []*mapping.Mapping) (*Handle, error) {
+	data, err := encodeV2(maps)
+	if err != nil {
+		return nil, err
+	}
+	return openData(data, false, "")
+}
+
 // alignedCopy returns data copied into a buffer whose base address is
-// 8-byte aligned (backed by a []uint64 allocation).
+// 8-byte aligned.
 func alignedCopy(data []byte) []byte {
 	if len(data) == 0 {
 		return nil
 	}
-	words := make([]uint64, (len(data)+7)/8)
-	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(data))
+	buf := alignedBuf(len(data))
 	copy(buf, data)
 	return buf
+}
+
+// alignedBuf allocates n zero bytes whose base address is 8-byte aligned
+// (backed by a []uint64 allocation), so the typed section views over them
+// are valid on every architecture.
+func alignedBuf(n int) []byte {
+	words := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
 }
 
 func le32(b []byte, off int) uint32  { return binary.LittleEndian.Uint32(b[off:]) }
@@ -287,9 +307,9 @@ func openData(data []byte, mapped bool, path string) (*Handle, error) {
 }
 
 // Close unmaps the region. Strings, postings and mappings served from this
-// handle are invalid afterwards; in-memory handles (OpenBytes) keep their
-// data alive through any strings still referencing it and Close is a no-op
-// for them. Close is idempotent.
+// handle are invalid afterwards; in-memory handles (OpenBytes,
+// FromMappings) keep their data alive through any strings still
+// referencing it and Close is a no-op for them. Close is idempotent.
 func (h *Handle) Close() error {
 	if !h.closed.CompareAndSwap(false, true) {
 		return nil
@@ -304,11 +324,12 @@ func (h *Handle) Close() error {
 	return nil
 }
 
-// Path returns the file the handle was opened from ("" for OpenBytes).
+// Path returns the file the handle was opened from ("" for in-memory
+// handles).
 func (h *Handle) Path() string { return h.path }
 
 // Mapped reports whether the handle is backed by an mmapped file region
-// (Open) rather than an in-memory copy (OpenBytes).
+// (Open) rather than an in-memory image (OpenBytes, FromMappings).
 func (h *Handle) Mapped() bool { return h.mapped }
 
 // Format returns the snapshot format version (2).
@@ -519,8 +540,8 @@ func (h *Handle) materialize(i int) *mapping.Mapping {
 	return mapping.Restore(id, pairs, supports, tableIDs, domains, candIDs, surfaceR)
 }
 
-// Materialize decodes every mapping — the bridge for v1-era consumers
-// (Decode, LoadIndex) that want the whole set on the heap.
+// Materialize decodes every mapping — the bridge for consumers (Decode,
+// LoadIndex, base-less ingestion) that want the whole set on the heap.
 func (h *Handle) Materialize() []*mapping.Mapping {
 	out := make([]*mapping.Mapping, h.n)
 	for i := range out {

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"mapsynth/internal/index"
+	"mapsynth/internal/mapping"
+	"mapsynth/internal/table"
 )
 
 // v2Bytes encodes the shared test corpus as a v2 snapshot.
@@ -45,13 +47,7 @@ func TestV2RoundTrip(t *testing.T) {
 		t.Fatalf("v2 decoded %d mappings, v1 %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].ID != want[i].ID ||
-			!reflect.DeepEqual(got[i].Pairs, want[i].Pairs) ||
-			!reflect.DeepEqual(got[i].TableIDs, want[i].TableIDs) ||
-			!reflect.DeepEqual(got[i].Domains, want[i].Domains) ||
-			!reflect.DeepEqual(got[i].CandidateIDs, want[i].CandidateIDs) ||
-			!reflect.DeepEqual(got[i].PairSupports(), want[i].PairSupports()) ||
-			!reflect.DeepEqual(got[i].SurfaceRights(), want[i].SurfaceRights()) {
+		if !sameMapping(got[i], want[i]) {
 			t.Fatalf("mapping %d: v2 decode differs from v1 decode", i)
 		}
 	}
@@ -63,6 +59,17 @@ func TestV2RoundTrip(t *testing.T) {
 	if !bytes.Equal(v2.Bytes(), again.Bytes()) {
 		t.Fatal("WriteV2 is not deterministic")
 	}
+}
+
+// sameMapping reports whether two mappings agree in every persisted field.
+func sameMapping(a, b *mapping.Mapping) bool {
+	return a.ID == b.ID &&
+		reflect.DeepEqual(a.Pairs, b.Pairs) &&
+		reflect.DeepEqual(a.TableIDs, b.TableIDs) &&
+		reflect.DeepEqual(a.Domains, b.Domains) &&
+		reflect.DeepEqual(a.CandidateIDs, b.CandidateIDs) &&
+		reflect.DeepEqual(a.PairSupports(), b.PairSupports()) &&
+		reflect.DeepEqual(a.SurfaceRights(), b.SurfaceRights())
 }
 
 func TestV2OpenAndVerify(t *testing.T) {
@@ -360,5 +367,62 @@ func FuzzOpenV2(f *testing.F) {
 		}
 		h.Postings("california")
 		index.FromSource(h).LookupLeft([]string{"california"}, 0.5)
+	})
+}
+
+// FuzzLoadBytesV1 covers the v1 upload path: LoadBytes decodes a v1 body,
+// re-encodes it with the v2 writer and opens the result. Arbitrary bytes
+// must never panic it, and whenever it succeeds the opened image must hold
+// exactly the mappings Decode reads from the same bytes. Each input runs
+// as given and with its footer CRC recomputed, so mutations also reach the
+// decoder and the re-encoder instead of stopping at the checksum.
+func FuzzLoadBytesV1(f *testing.F) {
+	// Small seeds keep each exec, and the minimization of every new
+	// input, cheap enough for a 30 s CI run to explore.
+	for _, maps := range [][]*mapping.Mapping{smallMappings(f)[:1], smallMappings(f)[:3]} {
+		var buf bytes.Buffer
+		if err := Write(&buf, maps); err != nil {
+			f.Fatal(err)
+		}
+		good := buf.Bytes()
+		for _, n := range []int{len(good), len(good) - 1, len(good) / 2, 9, 5} {
+			f.Add(good[:n])
+		}
+	}
+	f.Add([]byte("MSNP\x01garbage"))
+	// A support past uint32 is legal v1 but has no v2 encoding: the
+	// conversion must refuse it rather than store a different number.
+	var huge bytes.Buffer
+	if err := Write(&huge, []*mapping.Mapping{mapping.Restore(1,
+		[]table.Pair{{L: "Oregon", R: "OR"}}, []int{1 << 33}, []int{1}, []string{"d"}, []int{1}, nil)}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(huge.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(data []byte) {
+			ld, err := LoadBytes(data)
+			if err != nil || ld.Format != 1 {
+				return // v2 images are FuzzOpenV2's
+			}
+			want, err := Decode(data)
+			if err != nil {
+				t.Fatalf("LoadBytes accepted a v1 body Decode rejects: %v", err)
+			}
+			got := ld.Handle.Materialize()
+			if len(got) != len(want) {
+				t.Fatalf("LoadBytes holds %d mappings, Decode %d", len(got), len(want))
+			}
+			for i := range want {
+				if !sameMapping(got[i], want[i]) {
+					t.Fatalf("mapping %d: LoadBytes %+v, Decode %+v", i, got[i], want[i])
+				}
+			}
+		}
+		check(data)
+		if len(data) >= len(Magic)+1+4 {
+			sealed := append([]byte(nil), data...)
+			reseal(sealed)
+			check(sealed)
+		}
 	})
 }

@@ -128,7 +128,10 @@ func (mw *mappingWriter) mapping(m *mapping.Mapping) {
 	}
 }
 
-// Write encodes the mappings to w. The mappings are not mutated.
+// Write encodes the mappings to w in format v1. The mappings are not
+// mutated. No command writes v1 any more (cmd/synthesize writes v2); Write
+// stays so tests and examples can produce v1 bytes for the v1 reader,
+// which every loader keeps accepting.
 func Write(w io.Writer, maps []*mapping.Mapping) error {
 	crc := crc32.NewIEEE()
 	mw := &mappingWriter{w: bufio.NewWriter(io.MultiWriter(w, crc))}
@@ -154,9 +157,10 @@ func Write(w io.Writer, maps []*mapping.Mapping) error {
 	return err
 }
 
-// WriteFile writes a snapshot atomically: encode to a sibling temp file,
-// fsync, then rename over the destination so a crashed writer never leaves a
-// half-written snapshot at path.
+// WriteFile writes a v1 snapshot atomically: encode to a sibling temp
+// file, fsync, then rename over the destination so a crashed writer never
+// leaves a half-written snapshot at path. Like Write, it exists to produce
+// v1 files for tests and examples; WriteFileV2 is the production writer.
 func WriteFile(path string, maps []*mapping.Mapping) error {
 	tmp, err := os.CreateTemp(dirOf(path), ".snap-*")
 	if err != nil {
@@ -247,9 +251,10 @@ func Decode(data []byte) ([]*mapping.Mapping, error) {
 }
 
 // LoadIndex reads a snapshot file and rebuilds a monolithic containment
-// index over its mappings — the one-call entry point for offline consumers
-// (analysis tools, examples). The serving layer instead loads via ReadFile
-// and builds hash-sharded indexes (serve.NewShardedIndex).
+// index over its mappings on the heap — the one-call entry point for
+// offline consumers (analysis tools, examples). The serving layer instead
+// keeps every corpus as a v2 image (Load) and queries
+// index.FromSource over the handle.
 func LoadIndex(path string) (*index.MappingIndex, []*mapping.Mapping, error) {
 	maps, err := ReadFile(path)
 	if err != nil {
@@ -258,18 +263,17 @@ func LoadIndex(path string) (*index.MappingIndex, []*mapping.Mapping, error) {
 	return index.Build(maps), maps, nil
 }
 
-// Loaded is the result of format-aware loading: either decoded heap
-// mappings (v1) or a live mmap handle (v2) whose mappings materialize
-// lazily. Exactly one of Maps/Handle is set; Format says which (1 or 2).
+// Loaded is the result of format-aware loading: a v2 handle, whatever
+// format the source was in. Format records that source format (1 or 2):
+// a v1 snapshot is decoded, re-encoded by the v2 writer and opened.
 type Loaded struct {
 	Format int
-	Maps   []*mapping.Mapping
 	Handle *Handle
 }
 
-// Load opens the snapshot at path in the cheapest way its format allows:
-// v2 snapshots are mmapped (O(1), no decode), v1 snapshots are decoded
-// onto the heap. The serving layer activates corpora through this.
+// Load opens the snapshot at path as a v2 handle: v2 snapshots are
+// mmapped (O(1), no decode), v1 snapshots are decoded and converted
+// (FromMappings). The serving layer activates corpora through this.
 func Load(path string) (Loaded, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -289,7 +293,7 @@ func Load(path string) (Loaded, error) {
 	if err != nil {
 		return Loaded{}, err
 	}
-	return Loaded{Format: 1, Maps: maps}, nil
+	return loadedV1(maps)
 }
 
 // LoadBytes is Load for a snapshot already in memory (an uploaded corpus).
@@ -305,7 +309,15 @@ func LoadBytes(data []byte) (Loaded, error) {
 	if err != nil {
 		return Loaded{}, err
 	}
-	return Loaded{Format: 1, Maps: maps}, nil
+	return loadedV1(maps)
+}
+
+func loadedV1(maps []*mapping.Mapping) (Loaded, error) {
+	h, err := FromMappings(maps)
+	if err != nil {
+		return Loaded{}, fmt.Errorf("snapshot: converting v1 to v2: %w", err)
+	}
+	return Loaded{Format: 1, Handle: h}, nil
 }
 
 // decoder is a cursor over the payload with sticky error handling.

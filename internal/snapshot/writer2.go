@@ -129,8 +129,8 @@ func encodeV2(maps []*mapping.Mapping) ([]byte, error) {
 			if j < len(supports) {
 				s = supports[j]
 			}
-			if s < 0 || s > math.MaxUint32 {
-				s = 0
+			if (s < 0 || s > math.MaxUint32) && b.err == nil {
+				b.err = fmt.Errorf("snapshot: pair support %d overflows uint32", s)
 			}
 			b.pairs = put32(put32(put32(put32(put32(b.pairs, l.off), l.ln), r.off), r.ln), uint32(s))
 		}
@@ -218,7 +218,7 @@ func encodeV2(maps []*mapping.Mapping) ([]byte, error) {
 	}
 	fileSize := pos + 4
 
-	out := make([]byte, fileSize)
+	out := alignedBuf(int(fileSize))
 	copy(out[:4], Magic[:])
 	out[4] = Version2
 	binary.LittleEndian.PutUint32(out[8:], v2NumSections)

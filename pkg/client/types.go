@@ -209,16 +209,15 @@ type Health struct {
 type CorpusHealth struct {
 	Snapshot string `json:"snapshot"`
 	Version  int64  `json:"version"`
-	// Format is the snapshot format backing the live state: "memory", "v1"
-	// or "v2".
+	// Format is where the live state came from: "memory", "v1" (converted
+	// to v2 at load) or "v2". Every state is served from a v2 image.
 	Format     string  `json:"format"`
 	Mappings   int     `json:"mappings"`
 	Pairs      int     `json:"pairs"`
-	Shards     int     `json:"shards"`
 	LoadedAt   string  `json:"loaded_at"`
 	AgeSeconds float64 `json:"age_s"`
-	// SnapshotCRC is the hex whole-file CRC of a v2-backed state's snapshot
-	// image — the content identity to quote in SnapshotSince's sinceCRC.
+	// SnapshotCRC is the hex whole-file CRC of the live state's v2 image —
+	// the content identity to quote in SnapshotSince's sinceCRC.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 	// Ingest reports live-ingestion staleness; nil for corpora never
 	// ingested into.
@@ -322,14 +321,13 @@ type CorpusInfo struct {
 	Name     string `json:"name"`
 	Version  int64  `json:"version"`
 	Snapshot string `json:"snapshot"`
-	// Format is the snapshot format backing the live state: "memory", "v1"
-	// (decoded onto the heap) or "v2" (served zero-copy from a mapped
-	// region).
+	// Format is where the live state came from: "memory", "v1" (converted
+	// to v2 at load) or "v2". Every state is served from a v2 image.
 	Format   string `json:"format"`
 	Mappings int    `json:"mappings"`
 	Pairs    int    `json:"pairs"`
-	Shards   int    `json:"shards"`
-	// MappedBytes is the mmapped region size of a v2 state; 0 otherwise.
+	// MappedBytes is the size of the live state's v2 image: the mmapped
+	// file region of a v2 snapshot, the in-memory image otherwise.
 	MappedBytes int64 `json:"mapped_bytes"`
 	// Madvise is the page-cache hint applied to a mapped v2 state's region
 	// ("willneed" or "random"); empty when none.
@@ -342,8 +340,7 @@ type CorpusInfo struct {
 	// History lists the versions available for Activate/Rollback, most
 	// recently live last.
 	History []int64 `json:"history"`
-	// SnapshotCRC is the hex whole-file CRC of a v2-backed state's snapshot
-	// image; empty for heap-backed states.
+	// SnapshotCRC is the hex whole-file CRC of the live state's v2 image.
 	SnapshotCRC string `json:"snapshot_crc,omitempty"`
 	// Ingest reports live-ingestion staleness; nil for corpora never
 	// ingested into.
